@@ -40,12 +40,10 @@ from repro.core import (
     RoundingResult,
     WarmStart,
     available_planners,
-    available_strategies,
     best_fit_decreasing_placement,
     build_placement_lp,
     cooccurrence_correlations,
     get_planner,
-    get_strategy,
     greedy_placement,
     hash_node,
     importance_ranking,
@@ -81,7 +79,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "CircuitOpenError",
@@ -114,12 +112,10 @@ __all__ = [
     "WarmStart",
     "TraceFormatError",
     "available_planners",
-    "available_strategies",
     "best_fit_decreasing_placement",
     "build_placement_lp",
     "cooccurrence_correlations",
     "get_planner",
-    "get_strategy",
     "greedy_placement",
     "hash_node",
     "obs",

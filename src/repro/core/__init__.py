@@ -56,16 +56,13 @@ from repro.core.serialization import (
     save_problem,
 )
 from repro.core.strategies import (
-    PlacementStrategy,
     PlanConfig,
     Planner,
     PlanResult,
     PlanScope,
     available_planners,
-    available_strategies,
     best_fit_decreasing_placement,
     get_planner,
-    get_strategy,
     plan,
     register_planner,
     round_robin_placement,
@@ -85,7 +82,6 @@ __all__ = [
     "Placement",
     "PlacementMap",
     "PlacementProblem",
-    "PlacementStrategy",
     "PlanConfig",
     "PlanResult",
     "PlanScope",
@@ -93,7 +89,6 @@ __all__ = [
     "ReplicatedPlacement",
     "ResourceSpec",
     "available_planners",
-    "available_strategies",
     "best_fit_decreasing_placement",
     "component_subproblems",
     "correlation_components",
@@ -101,7 +96,6 @@ __all__ = [
     "cooccurrence_correlations",
     "diff_placements",
     "get_planner",
-    "get_strategy",
     "greedy_placement",
     "greedy_replicated_placement",
     "hash_node",

@@ -65,17 +65,12 @@ class FractionalPlacement:
             integral communication cost, and by Theorem 2 the exact
             expected cost of the randomized rounding.
         stats: Program size and solve statistics.
-        capacity_duals: Shadow price of each node's capacity row (None
-            for uncapacitated nodes or when the backend provides no
-            duals).  A strongly negative value marks a node whose space
-            binds the optimum — the capacity to grow first.
     """
 
     problem: PlacementProblem
     fractions: np.ndarray
     lower_bound: float
     stats: LPStats
-    capacity_duals: np.ndarray | None = None
 
     def is_integral(self, tolerance: float = 1e-6) -> bool:
         """Whether the LP optimum is already an integral placement."""
@@ -394,15 +389,6 @@ def solve_placement_lp(
     # Guard against solver round-off; rows are 1 up to tolerance already.
     np.divide(fractions, row_sums, out=fractions, where=row_sums > 0)
 
-    capacity_duals = None
-    if result.duals is not None:
-        capacity_duals = np.full(n, np.nan)
-        names = {lp.constraint_name(r): r for r in range(lp.num_constraints)}
-        for k in range(n):
-            row = names.get(f"capacity[{k}]")
-            if row is not None:
-                capacity_duals[k] = result.duals[row]
-
     stats = LPStats(
         num_variables=lp.num_variables,
         num_constraints=lp.num_constraints,
@@ -410,9 +396,7 @@ def solve_placement_lp(
         solve_seconds=elapsed,
         iterations=result.iterations,
     )
-    return FractionalPlacement(
-        problem, fractions, float(result.objective), stats, capacity_duals
-    )
+    return FractionalPlacement(problem, fractions, float(result.objective), stats)
 
 
 def _solve_placement_first_order(
@@ -497,9 +481,5 @@ def _solve_placement_first_order(
         iterations=solution.iterations,
     )
     return FractionalPlacement(
-        problem,
-        solution.fractions,
-        float(solution.objective),
-        stats,
-        capacity_duals=solution.duals,
+        problem, solution.fractions, float(solution.objective), stats
     )

@@ -375,16 +375,12 @@ def fractional_to_dict(fractional: "FractionalPlacement") -> dict:
     the expensive part of the pipeline, and round-tripping it exactly
     lets a replan re-round without re-solving.
     """
-    duals = fractional.capacity_duals
     return {
         "schema": FRACTIONAL_SCHEMA,
         "objects": [str(obj) for obj in fractional.problem.object_ids],
         "fractions": [[float(x) for x in row] for row in fractional.fractions],
         "lower_bound": float(fractional.lower_bound),
         "stats": lp_stats_to_dict(fractional.stats),
-        "capacity_duals": (
-            None if duals is None else [float(d) for d in duals]
-        ),
     }
 
 
@@ -402,13 +398,13 @@ def fractional_from_dict(
             raise TraceFormatError(
                 f"fractions shape {fractions.shape} does not match problem"
             )
-        duals = data.get("capacity_duals")
+        # Artifacts written before 1.10 also carry a "capacity_duals"
+        # key; it is ignored.
         return FractionalPlacement(
             problem=problem,
             fractions=fractions,
             lower_bound=float(data["lower_bound"]),
             stats=lp_stats_from_dict(data["stats"]),
-            capacity_duals=None if duals is None else np.asarray(duals, dtype=float),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed fractional placement: {exc}") from exc

@@ -16,18 +16,10 @@ Besides the paper's three strategies (random hashing, greedy, LPRR),
 two classic correlation-oblivious controls are registered — round-robin
 and best-fit-decreasing — so experiments can separate "correlation
 awareness" from mere "load balancing".
-
-The pre-1.1 surface — bare ``PlacementStrategy`` callables mapping a
-problem straight to a :class:`~repro.core.placement.Placement`, looked
-up with :func:`get_strategy` — still works but is deprecated: the thin
-shims here emit :class:`DeprecationWarning` and will be removed two
-minor releases after 1.1 (see ``docs/API.md`` for the policy).  New
-code should use :func:`get_planner` / :func:`plan`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Protocol
@@ -309,17 +301,10 @@ class Planner(Protocol):
     ) -> PlanResult: ...
 
 
-class PlacementStrategy(Protocol):
-    """Deprecated: the pre-1.1 bare-callable strategy surface."""
-
-    def __call__(self, problem: PlacementProblem) -> Placement: ...
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _PLANNERS: dict[str, Planner] = {}
-_LEGACY: dict[str, PlacementStrategy] = {}
 
 
 def register_planner(name: str) -> Callable[[Planner], Planner]:
@@ -417,12 +402,13 @@ _simple_planner(
 )
 
 
-def _round_robin(problem: PlacementProblem) -> Placement:
+def round_robin_placement(problem: PlacementProblem) -> Placement:
+    """Assign objects cyclically: object ``i`` to node ``i mod n``."""
     assignment = np.arange(problem.num_objects, dtype=np.int64) % problem.num_nodes
     return Placement(problem, assignment)
 
 
-_simple_planner("round_robin", lambda problem, config: _round_robin(problem))
+_simple_planner("round_robin", lambda problem, config: round_robin_placement(problem))
 
 
 def best_fit_decreasing_placement(
@@ -806,98 +792,3 @@ def _online_planner(
     from repro.online.controller import heavy_hitter_plan
 
     return heavy_hitter_plan(problem, config=config)
-
-
-# ----------------------------------------------------------------------
-# Deprecated pre-1.1 shims
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/API.md for the "
-        "deprecation policy)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def register_strategy(name: str) -> Callable[[PlacementStrategy], PlacementStrategy]:
-    """Deprecated: register an old-style ``problem -> Placement`` callable.
-
-    The callable is also wrapped into a :class:`Planner` (its config is
-    ignored) so it shows up in :func:`available_planners`.
-    """
-    _deprecated("register_strategy", "register_planner")
-
-    def decorator(func: PlacementStrategy) -> PlacementStrategy:
-        if name in _LEGACY or name in _PLANNERS:
-            raise ValueError(f"strategy {name!r} already registered")
-        _LEGACY[name] = func
-
-        @register_planner(name)
-        def adapter(
-            problem: PlacementProblem, *, config: PlanConfig = PlanConfig()
-        ) -> PlanResult:
-            with obs.timed("plan", planner=name) as span:
-                placement = func(problem)
-            return _finish(name, placement, span.duration)
-
-        return func
-
-    return decorator
-
-
-def get_strategy(name: str) -> PlacementStrategy:
-    """Deprecated: look up a bare ``problem -> Placement`` callable.
-
-    Returns the exact pre-1.1 callable for the built-in names, so
-    legacy callers keep byte-identical behavior.
-    """
-    _deprecated("get_strategy", "get_planner")
-    try:
-        return _LEGACY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown strategy {name!r}; available: {sorted(_LEGACY)}"
-        ) from None
-
-
-def available_strategies() -> list[str]:
-    """Deprecated: names of all old-style strategies."""
-    _deprecated("available_strategies", "available_planners")
-    return sorted(_LEGACY)
-
-
-def round_robin_placement(problem: PlacementProblem) -> Placement:
-    """Assign objects cyclically: object ``i`` to node ``i mod n``."""
-    return _round_robin(problem)
-
-
-def _legacy_lprr(problem: PlacementProblem) -> Placement:
-    from repro.core.lprr import LPRRPlanner
-
-    return LPRRPlanner(seed=0).plan(problem).placement
-
-
-def _legacy_local_search(problem: PlacementProblem) -> Placement:
-    from repro.core.local_search import local_search_placement
-
-    return local_search_placement(problem, rng=0)
-
-
-def _legacy_spectral(problem: PlacementProblem) -> Placement:
-    from repro.core.spectral import spectral_placement
-
-    return spectral_placement(problem)
-
-
-_LEGACY.update(
-    {
-        "hash": random_hash_placement,
-        "greedy": greedy_placement,
-        "round_robin": round_robin_placement,
-        "best_fit_decreasing": best_fit_decreasing_placement,
-        "spectral": _legacy_spectral,
-        "local_search": _legacy_local_search,
-        "lprr": _legacy_lprr,
-    }
-)

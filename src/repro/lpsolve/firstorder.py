@@ -169,15 +169,12 @@ class FirstOrderSolution:
             the warm-vs-cold replan acceptance compares.
         converged: Whether the stall criterion (rather than the
             iteration cap or time limit) ended the solve.
-        duals: Final capacity prices, one per node (zeros where
-            capacity is infinite).
     """
 
     fractions: np.ndarray
     objective: float
     iterations: int
     converged: bool
-    duals: np.ndarray
 
 
 def project_rows_to_simplex(matrix: np.ndarray) -> np.ndarray:
@@ -303,7 +300,6 @@ def solve_first_order(
             objective=0.0,
             iterations=0,
             converged=True,
-            duals=duals[0][:] if duals else np.zeros(n),
         )
 
     from scipy import sparse
@@ -404,7 +400,6 @@ def solve_first_order(
         objective=energy_at(x),
         iterations=iterations,
         converged=converged,
-        duals=duals[0] if duals else np.zeros(n),
     )
 
 

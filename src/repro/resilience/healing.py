@@ -8,13 +8,13 @@ Three composable defenses against a planning pipeline that can fail:
   stop calling it for a cooldown window (*open*), then let one probe
   through (*half-open*) before trusting it again (*closed*).  Keeps a
   flaky LP backend from stalling every plan with a doomed attempt.
-* :func:`plan_with_fallbacks` — the ``"resilient"`` planner: try LPRR
-  on the configured backend, then the dependency-free first-order
-  backend (``lprr:fo``), then LPRR on the self-contained simplex,
-  then greedy, then hash.  The first success wins; every attempt —
-  successes, failures, and circuit-open skips — is recorded in
-  ``PlanResult.diagnostics["fallback_chain"]`` so a degraded plan is
-  never silent about how it was produced.
+* :func:`plan_with_fallbacks` — the ``"resilient"`` planner: walk one
+  row of the :data:`LADDERS` table (LP planner on the configured
+  backend, the same family on the first-order backend, then LP-free
+  heuristics; docs/RESILIENCE.md describes the ladder).  The first
+  success wins; every attempt — successes, failures, and circuit-open
+  skips — is recorded in ``PlanResult.diagnostics["fallback_chain"]``
+  so a degraded plan is never silent about how it was produced.
 
 Metrics: ``retry.attempts``, ``circuit.opened`` / ``circuit.rejected``
 / ``circuit.closed``, ``planner.fallbacks`` and
@@ -233,9 +233,21 @@ def reset_backend_breakers() -> None:
 # ----------------------------------------------------------------------
 # Fallback-chain planning
 # ----------------------------------------------------------------------
-# Beyond this many LP variables the dense simplex fallback would be
-# slower than useful; the chain skips straight to greedy.
-SIMPLEX_FALLBACK_MAX_VARIABLES = 4000
+# The ladder, one row per planner family: the LP planner, the planner
+# that retries it on the first-order backend, and the LP-free tail.
+# docs/RESILIENCE.md ("Self-healing planning") describes this table.
+LADDERS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "exact": ("lprr", "lprr:fo", ("stream:greedy", "greedy", "hash")),
+    "pg": ("lprr:pg", "lprr:pg", ("stream:greedy", "greedy", "hash")),
+    "rep": ("lprr:rep", "lprr:rep", ("rep:greedy", "rep:hash")),
+}
+
+
+def _ladder_family(config: PlanConfig) -> str:
+    """The :data:`LADDERS` row a config plans through."""
+    if config.replicas > 1:
+        return "rep"
+    return "pg" if config.scope_spec.kind == "pg" else "exact"
 
 
 @dataclass(frozen=True)
@@ -258,23 +270,6 @@ class FallbackStep:
         return {"step": self.step, "outcome": self.outcome, "detail": self.detail}
 
 
-def _lp_variables(problem: PlacementProblem, config: PlanConfig) -> int:
-    """Rough LP size: (objects + pairs) * nodes, after scoping."""
-    objects = problem.num_objects
-    limit = config.scope_limit(problem)
-    if limit is not None:
-        objects = min(objects, limit)
-    return (objects + problem.num_pairs) * problem.num_nodes
-
-
-def _coarse_lp_variables(problem: PlacementProblem, config: PlanConfig) -> int:
-    """Rough LP size of the pg planner's coarse problem."""
-    spec = config.scope_spec
-    coarse = min(problem.num_objects, spec.groups + spec.important)
-    pairs = min(problem.num_pairs, coarse * (coarse - 1) // 2)
-    return (coarse + pairs) * problem.num_nodes
-
-
 def plan_with_fallbacks(
     problem: PlacementProblem,
     *,
@@ -283,22 +278,17 @@ def plan_with_fallbacks(
 ) -> PlanResult:
     """Plan with graceful degradation instead of failure.
 
-    The chain, in order: LPRR on the configured backend; ``lprr:fo``
-    (the pure-NumPy first-order backend, skipped when the configured
-    backend already *is* ``fo``); LPRR on the self-contained
-    ``simplex`` backend (skipped when the configured backend already
-    *is* simplex, or when the LP is too large for the dense solver);
-    ``stream:greedy``; ``greedy``; ``hash``.  Placement-group scopes
-    (``PlanScope.pg``) swap the LPRR steps for ``lprr:pg`` on the same
-    backends, sized against the coarse problem.  Replicated configs
-    (``config.replicas > 1``) swap the whole chain for the
-    failure-domain-aware one: ``lprr:rep:<backend>`` →
-    ``lprr:rep:simplex`` → ``rep:greedy`` (spread-greedy) →
-    ``rep:hash`` (spread-hash) — every step honors the domain spread
-    constraints, so even the deepest fallback never stacks two copies
-    in one rack.  The first planner to succeed supplies the placement;
-    the full attempt log lands in ``diagnostics["fallback_chain"]``
-    and the winning planner's name in ``diagnostics["delegate"]``.
+    The config picks one :data:`LADDERS` row: ``rep`` when
+    ``config.replicas > 1``, ``pg`` for ``PlanScope.pg`` scopes, else
+    ``exact``.  The chain runs that row's LP planner on the configured
+    backend (label ``<planner>:<backend>``), retries it once on the
+    first-order backend (label ``<planner>:fo``, skipped when the
+    configured backend already *is* ``fo``), then falls through the
+    row's LP-free tail.  The first planner to succeed supplies the
+    placement; the full attempt log lands in
+    ``diagnostics["fallback_chain"]``, the winning planner's name in
+    ``diagnostics["delegate"]``, and ``diagnostics["degraded"]`` is
+    true when a tail planner won.  See docs/RESILIENCE.md.
 
     LP attempts run under per-backend circuit breakers (see
     :func:`backend_breaker`), so a backend that has failed repeatedly
@@ -308,15 +298,26 @@ def plan_with_fallbacks(
     Args:
         problem: The CCA instance to place.
         config: Planning knobs; LP time and iteration limits apply to
-            the LPRR attempts.
+            the LP attempts.
         breakers: Disable to bypass the shared circuit breakers
             (attempts then always run).
 
     Raises:
         ReproError: Only if *every* step in the chain fails, which
-            requires even ``hash`` placement to fail.
+            requires even the hash floor to fail.
     """
     config = config or PlanConfig()
+    lp_planner, retry_planner, tail = LADDERS[_ladder_family(config)]
+    steps: list[tuple[str, str | None, str, PlanConfig]] = [
+        (f"{lp_planner}:{config.backend}", config.backend, lp_planner, config)
+    ]
+    if config.backend != "fo":
+        # The first-order backend has no library dependency and no
+        # LP-size ceiling, so it backstops every exact backend.
+        steps.append(
+            (f"{lp_planner}:fo", "fo", retry_planner, config.with_options(backend="fo"))
+        )
+    steps += [(name, None, name, config) for name in tail]
     chain: list[FallbackStep] = []
 
     def attempt(step: str, backend: str | None, run: Callable[[], PlanResult]):
@@ -350,136 +351,12 @@ def plan_with_fallbacks(
         return result
 
     with obs.span("plan.resilient", objects=problem.num_objects) as span:
-        if config.replicas > 1:
-            # Replicated configs plan through the domain-aware chain;
-            # every step enforces the same replica spread constraints.
-            steps = [
-                (
-                    f"lprr:rep:{config.backend}",
-                    config.backend,
-                    lambda: plan(problem, "lprr:rep", config),
-                )
-            ]
-            if config.backend != "simplex":
-                if _lp_variables(problem, config) <= SIMPLEX_FALLBACK_MAX_VARIABLES:
-                    steps.append(
-                        (
-                            "lprr:rep:simplex",
-                            "simplex",
-                            lambda: plan(
-                                problem,
-                                "lprr:rep",
-                                config.with_options(backend="simplex"),
-                            ),
-                        )
-                    )
-                else:
-                    chain.append(
-                        FallbackStep(
-                            "lprr:rep:simplex",
-                            "skipped",
-                            "problem too large for dense simplex",
-                        )
-                    )
-            steps.append(
-                ("rep:greedy", None, lambda: plan(problem, "rep:greedy", config))
-            )
-            steps.append(
-                ("rep:hash", None, lambda: plan(problem, "rep:hash", config))
-            )
-        elif config.scope_spec.kind == "pg":
-            # Placement-group scopes plan through lprr:pg; the chain's
-            # simplex retry targets the same coarse problem.
-            steps: list[tuple[str, str | None, Callable[[], PlanResult]]] = [
-                (
-                    f"lprr:pg:{config.backend}",
-                    config.backend,
-                    lambda: plan(problem, "lprr:pg", config),
-                )
-            ]
-            if config.backend != "simplex":
-                if (
-                    _coarse_lp_variables(problem, config)
-                    <= SIMPLEX_FALLBACK_MAX_VARIABLES
-                ):
-                    steps.append(
-                        (
-                            "lprr:pg:simplex",
-                            "simplex",
-                            lambda: plan(
-                                problem,
-                                "lprr:pg",
-                                config.with_options(backend="simplex"),
-                            ),
-                        )
-                    )
-                else:
-                    chain.append(
-                        FallbackStep(
-                            "lprr:pg:simplex",
-                            "skipped",
-                            "coarse problem too large for dense simplex",
-                        )
-                    )
-        else:
-            steps = [
-                (
-                    f"lprr:{config.backend}",
-                    config.backend,
-                    lambda: plan(problem, "lprr", config),
-                )
-            ]
-            if config.backend != "fo":
-                # The first-order backend has no library dependency and
-                # no LP-size ceiling, so it backstops every exact
-                # backend before the dense simplex retry.
-                steps.append(
-                    (
-                        "lprr:fo",
-                        "fo",
-                        lambda: plan(problem, "lprr:fo", config),
-                    )
-                )
-            if config.backend != "simplex":
-                if _lp_variables(problem, config) <= SIMPLEX_FALLBACK_MAX_VARIABLES:
-                    steps.append(
-                        (
-                            "lprr:simplex",
-                            "simplex",
-                            lambda: plan(
-                                problem,
-                                "lprr",
-                                config.with_options(backend="simplex"),
-                            ),
-                        )
-                    )
-                else:
-                    chain.append(
-                        FallbackStep(
-                            "lprr:simplex",
-                            "skipped",
-                            "problem too large for dense simplex",
-                        )
-                    )
-        if config.replicas <= 1:
-            # The streaming tier sits below LPRR: one pass over the pair
-            # list, no LP, so it survives backend outages that take both
-            # LP steps down while still being correlation-aware (unlike
-            # greedy's pair scan it also balances load as it goes).
-            steps.append(
-                (
-                    "stream:greedy",
-                    None,
-                    lambda: plan(problem, "stream:greedy", config),
-                )
-            )
-            steps.append(("greedy", None, lambda: plan(problem, "greedy", config)))
-            steps.append(("hash", None, lambda: plan(problem, "hash", config)))
-
         result: PlanResult | None = None
-        for step, backend, run in steps:
+        for step, backend, planner, step_config in steps:
             if result is None:
-                result = attempt(step, backend, run)
+                result = attempt(
+                    step, backend, lambda: plan(problem, planner, step_config)
+                )
             else:
                 chain.append(FallbackStep(step, "skipped", "already planned"))
         if result is None:
@@ -491,11 +368,12 @@ def plan_with_fallbacks(
                 chain=[s.to_dict() for s in chain],
             )
             raise chain_error(chain)
+        degraded = result.planner in tail
         span.set(delegate=result.planner, attempts=len(chain))
         obs.record(
             "plan.fallback",
             delegate=result.planner,
-            degraded=result.planner not in ("lprr", "lprr:fo", "lprr:pg", "lprr:rep"),
+            degraded=degraded,
             chain=[s.to_dict() for s in chain],
         )
 
@@ -503,7 +381,7 @@ def plan_with_fallbacks(
         **result.diagnostics,
         "delegate": result.planner,
         "fallback_chain": [s.to_dict() for s in chain],
-        "degraded": result.planner not in ("lprr", "lprr:fo", "lprr:pg", "lprr:rep"),
+        "degraded": degraded,
     }
     return replace(result, planner="resilient", diagnostics=diagnostics)
 

@@ -8,6 +8,8 @@ import pytest
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.serialization import (
+    fractional_from_dict,
+    fractional_to_dict,
     load_placement,
     load_problem,
     problem_from_dict,
@@ -129,3 +131,26 @@ class TestPlacementRoundTrip:
         save_problem(problem, path)
         data = json.loads(path.read_text())
         assert data["schema"] == "repro/problem/v1"
+
+
+class TestFractionalRoundTrip:
+    def test_dict_round_trip(self, problem):
+        from repro.core.lp import solve_placement_lp
+
+        fractional = solve_placement_lp(problem)
+        restored = fractional_from_dict(fractional_to_dict(fractional), problem)
+        assert np.array_equal(restored.fractions, fractional.fractions)
+        assert restored.lower_bound == fractional.lower_bound
+        assert restored.stats == fractional.stats
+
+    def test_artifact_with_capacity_duals_still_loads(self, problem):
+        # LP cache artifacts written before 1.10 carry one capacity
+        # dual per node; the key is ignored on load.
+        from repro.core.lp import solve_placement_lp
+
+        fractional = solve_placement_lp(problem)
+        doc = fractional_to_dict(fractional)
+        assert "capacity_duals" not in doc
+        doc["capacity_duals"] = [0.0, float("nan")]
+        restored = fractional_from_dict(json.loads(json.dumps(doc)), problem)
+        assert np.array_equal(restored.fractions, fractional.fractions)

@@ -10,7 +10,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.placement import Placement
 from repro.core.problem import PlacementProblem
 from repro.core.replication import ReplicatedPlacement
-from repro.core.strategies import PlanConfig, plan
+from repro.core.strategies import PlanConfig, PlanScope, plan
 from repro.exceptions import (
     CircuitOpenError,
     PlacementError,
@@ -341,7 +341,7 @@ class TestFallbackChain:
         assert result.diagnostics["degraded"] is False
         assert result.placement.is_feasible()
 
-    def test_scipy_and_fo_failure_falls_back_to_simplex(
+    def test_scipy_and_fo_failure_falls_back_to_stream_greedy(
         self, problem, monkeypatch
     ):
         import repro.lpsolve.firstorder as firstorder
@@ -362,8 +362,9 @@ class TestFallbackChain:
         assert chain[0]["outcome"] == "failed"
         assert chain[1]["step"] == "lprr:fo"
         assert chain[1]["outcome"] == "failed"
-        assert chain[2] == {"step": "lprr:simplex", "outcome": "ok", "detail": ""}
-        assert result.diagnostics["delegate"] == "lprr"
+        assert chain[2] == {"step": "stream:greedy", "outcome": "ok", "detail": ""}
+        assert result.diagnostics["delegate"] == "stream:greedy"
+        assert result.diagnostics["degraded"] is True
         assert result.placement.is_feasible()
 
     def test_registered_as_resilient_planner(self, problem, monkeypatch):
@@ -379,7 +380,6 @@ class TestFallbackChain:
         assert [s["step"] for s in result.diagnostics["fallback_chain"]] == [
             "lprr:auto",
             "lprr:fo",
-            "lprr:simplex",
             "stream:greedy",
             "greedy",
             "hash",
@@ -399,7 +399,6 @@ class TestFallbackChain:
         chain = {s["step"]: s["outcome"] for s in result.diagnostics["fallback_chain"]}
         assert chain["lprr:auto"] == "failed"
         assert chain["lprr:fo"] == "failed"
-        assert chain["lprr:simplex"] == "failed"
         assert chain["stream:greedy"] == "ok"
         assert chain["greedy"] == "skipped"
 
@@ -416,7 +415,7 @@ class TestFallbackChain:
         }
         assert result.diagnostics["delegate"] == "lprr:fo"  # fo carried it
 
-    def test_large_problem_skips_simplex(self, monkeypatch):
+    def test_first_order_carries_large_problem(self, monkeypatch):
         rng = np.random.default_rng(0)
         sizes = {f"o{i}": 1.0 for i in range(80)}
         names = sorted(sizes)
@@ -426,7 +425,8 @@ class TestFallbackChain:
                 sorted(rng.choice(80, size=2, replace=False)) for _ in range(400)
             )
         }
-        # (objects + pairs) * nodes far exceeds the simplex-fallback cap.
+        # (objects + pairs) * nodes is ~12,000 LP variables: far past
+        # the 4,000 the dense simplex retry was once capped at.
         big = PlacementProblem.build(sizes, 24, corr)
 
         import repro.lpsolve.scipy_backend as scipy_backend
@@ -437,12 +437,49 @@ class TestFallbackChain:
             lambda *a, **k: (_ for _ in ()).throw(SolverError("down")),
         )
         result = plan_with_fallbacks(big, config=PlanConfig())
-        chain = {s["step"]: s for s in result.diagnostics["fallback_chain"]}
-        assert chain["lprr:simplex"]["outcome"] == "skipped"
-        assert "too large" in chain["lprr:simplex"]["detail"]
+        chain = result.diagnostics["fallback_chain"]
+        assert chain[1] == {"step": "lprr:fo", "outcome": "ok", "detail": ""}
         # The first-order backend has no size ceiling, so it carries
-        # the plan where simplex cannot.
+        # the plan without degrading.
         assert result.diagnostics["delegate"] == "lprr:fo"
+        assert result.diagnostics["degraded"] is False
+        assert result.placement.is_feasible()
+
+    @pytest.mark.parametrize(
+        "config, steps",
+        [
+            (
+                PlanConfig(),
+                ["lprr:auto", "lprr:fo", "stream:greedy", "greedy", "hash"],
+            ),
+            (
+                PlanConfig(scope=PlanScope.pg(groups=2)),
+                ["lprr:pg:auto", "lprr:pg:fo", "stream:greedy", "greedy", "hash"],
+            ),
+            (
+                PlanConfig(replicas=2),
+                ["lprr:rep:auto", "lprr:rep:fo", "rep:greedy", "rep:hash"],
+            ),
+        ],
+        ids=["exact", "pg", "rep"],
+    )
+    def test_each_family_retries_on_first_order(
+        self, problem, monkeypatch, config, steps
+    ):
+        import repro.lpsolve.scipy_backend as scipy_backend
+
+        monkeypatch.setattr(
+            scipy_backend,
+            "solve_with_scipy",
+            lambda *a, **k: (_ for _ in ()).throw(SolverError("down")),
+        )
+        result = plan_with_fallbacks(problem, config=config)
+        chain = result.diagnostics["fallback_chain"]
+        assert [s["step"] for s in chain] == steps
+        assert not any("simplex" in s["step"] for s in chain)
+        assert chain[0]["outcome"] == "failed"
+        assert chain[1] == {"step": steps[1], "outcome": "ok", "detail": ""}
+        assert result.diagnostics["degraded"] is False
 
     def test_lp_limits_surface_as_solver_error(self, problem):
         from repro.core.lp import solve_placement_lp
