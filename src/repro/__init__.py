@@ -79,7 +79,7 @@ from repro.exceptions import (
     TraceFormatError,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "CircuitOpenError",

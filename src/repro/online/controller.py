@@ -511,12 +511,13 @@ class OnlinePlanner:
             # so they neither crash problem construction nor waste
             # heavy-hitter capacity.  The filtered period then ingests
             # through the batched trace path in one call.
-            self._window.observe_trace(
-                [
-                    tuple(obj for obj in operation if obj in self.sizes)
-                    for operation in period.operations
-                ]
-            )
+            with obs.span("online.ingest"):
+                self._window.observe_trace(
+                    [
+                        tuple(obj for obj in operation if obj in self.sizes)
+                        for operation in period.operations
+                    ]
+                )
             obs.counter("online.periods").inc()
             obs.counter("online.operations").inc(period.num_operations)
             obs.gauge("online.sketch_cells").set(self.memory_cells)
@@ -538,7 +539,8 @@ class OnlinePlanner:
             obs.record(
                 "online.period", t=round(period.start_s, 6), **decision.to_dict()
             )
-            self._window.advance_period()
+            with obs.span("online.decay"):
+                self._window.advance_period()
         if self.on_publish is not None and decision.action in (
             "bootstrap",
             "replan",
@@ -594,9 +596,10 @@ class OnlinePlanner:
         problem = self._problem(correlations)
         current = self._placement_on(problem)
         cost_now = current.communication_cost()
-        drift = self._detector.assess(
-            correlations, cost_now, period.num_operations
-        )
+        with obs.span("online.drift"):
+            drift = self._detector.assess(
+                correlations, cost_now, period.num_operations
+            )
         # An empty estimate can register maximal churn, but there is
         # nothing to plan toward — stay put until pairs reappear.
         if not drift.replan or not correlations:

@@ -29,6 +29,7 @@ length, and everything round-trips through ``to_dict``/``from_dict``
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import warnings
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -113,9 +114,9 @@ class CountMinSketch:
         return cached
 
     def add(self, key: Hashable, count: float = 1.0) -> None:
-        """Increment ``key`` by ``count`` (must be nonnegative)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        """Increment ``key`` by ``count`` (must be finite, nonnegative)."""
+        if not 0.0 <= count < math.inf:
+            raise ValueError("count must be finite and nonnegative")
         for row, idx in enumerate(self._indices(key)):
             self._cells[row, idx] += count
         self._total += count
@@ -138,7 +139,8 @@ class CountMinSketch:
 
         Args:
             keys: Keys to increment, in stream order.
-            counts: Per-key nonnegative increments (default: 1 each).
+            counts: Per-key finite, nonnegative increments (default: 1
+                each).
         """
         keys = list(keys)
         if not keys:
@@ -149,8 +151,8 @@ class CountMinSketch:
             count_list = [float(c) for c in counts]
             if len(count_list) != len(keys):
                 raise ValueError("counts must match the number of keys")
-            if any(c < 0 for c in count_list):
-                raise ValueError("count must be nonnegative")
+            if not all(0.0 <= c < math.inf for c in count_list):
+                raise ValueError("count must be finite and nonnegative")
         cols = np.fromiter(
             (idx for key in keys for idx in self._cached_indices(key)),
             dtype=np.int64,
@@ -241,8 +243,11 @@ class CountMinSketch:
         cells = np.asarray(doc["cells"], dtype=float)
         if cells.shape != (sketch.depth, sketch.width):
             raise ValueError("serialized cells do not match width/depth")
+        total = float(doc["total"])
+        if not (np.isfinite(cells).all() and math.isfinite(total)):
+            raise ValueError("serialized cells and total must be finite")
         sketch._cells = cells
-        sketch._total = float(doc["total"])
+        sketch._total = total
         return sketch
 
 
@@ -256,42 +261,68 @@ class SpaceSavingPairs:
     pair whose true count exceeds ``total / capacity`` is tracked, and
     ``count - error <= true count <= count`` for every tracked pair.
 
-    Eviction ties break on the pair's ``repr`` so runs are
-    deterministic regardless of hash randomization.
+    The victim is the minimum by ``(count, repr)``, so runs are
+    deterministic regardless of hash randomization; pairs whose reprs
+    coincide fall back to the order they entered the summary.  It is
+    found with a lazy min-heap holding one ``(count, repr, entry
+    number, pair)`` row per tracked pair.  Increments leave the heap
+    alone: counts only grow between rescalings, so a stale row
+    under-reads its pair, and an eviction refreshes stale top rows
+    until the top is current — at which point it is the exact minimum.
+    Eviction costs amortized O(log capacity) instead of a scan.
     """
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
-        self._entries: dict[Pair, list[float]] = {}  # pair -> [count, error]
+        # pair -> [count, error, repr, entry number]
+        self._entries: dict[Pair, list] = {}
+        self._heap: list[tuple[float, str, int, Pair]] = []
+        self._entered = 0
         self._total = 0.0
         self.max_tracked = 0
         self.evictions = 0
 
+    def _enter(self, pair: Pair, count: float, error: float) -> tuple:
+        """Track ``pair``; returns its fresh heap row (not yet pushed)."""
+        key = repr(pair)
+        self._entries[pair] = [count, error, key, self._entered]
+        row = (count, key, self._entered, pair)
+        self._entered += 1
+        return row
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [
+            (count, key, number, pair)
+            for pair, (count, _error, key, number) in self._entries.items()
+        ]
+        heapq.heapify(self._heap)
+
     def add(self, pair: Pair, count: float = 1.0) -> None:
         """Fold one observation of ``pair`` into the summary."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        if not 0.0 <= count < math.inf:
+            raise ValueError("count must be finite and nonnegative")
         self._total += count
-        entry = self._entries.get(pair)
+        entries = self._entries
+        entry = entries.get(pair)
         if entry is not None:
             entry[0] += count
-        elif len(self._entries) < self.capacity:
-            self._entries[pair] = [count, 0.0]
+        elif len(entries) < self.capacity:
+            heapq.heappush(self._heap, self._enter(pair, count, 0.0))
         else:
-            # Victim = min by (count, repr).  Scan counts numerically
-            # first and compute repr only for ties — the repr of every
-            # tracked pair per eviction was the ingest hot spot.
-            lowest = min(entry[0] for entry in self._entries.values())
-            victim = min(
-                (p for p, entry in self._entries.items() if entry[0] == lowest),
-                key=repr,
-            )
-            floor = self._entries.pop(victim)[0]
-            self._entries[pair] = [floor + count, floor]
+            heap = self._heap
+            while True:
+                floor, key, number, victim = heap[0]
+                current = entries[victim][0]
+                if floor == current:
+                    break
+                heapq.heapreplace(heap, (current, key, number, victim))
+            del entries[victim]
+            heapq.heapreplace(heap, self._enter(pair, floor + count, floor))
             self.evictions += 1
-        self.max_tracked = max(self.max_tracked, len(self._entries))
+        if len(entries) > self.max_tracked:
+            self.max_tracked = len(entries)
 
     def count(self, pair: Pair) -> float:
         """Tracked (over-)count of ``pair``; 0 when untracked."""
@@ -309,10 +340,10 @@ class SpaceSavingPairs:
         Ordering is total (count descending, then pair repr) so output
         is byte-stable across runs.
         """
-        return sorted(
-            ((pair, float(c), float(e)) for pair, (c, e) in self._entries.items()),
-            key=lambda row: (-row[1], repr(row[0])),
+        rows = sorted(
+            self._entries.items(), key=lambda row: (-row[1][0], row[1][2])
         )
+        return [(pair, float(c), float(e)) for pair, (c, e, _key, _n) in rows]
 
     def scale(self, factor: float) -> None:
         """Multiply every count and error by ``factor`` (aging)."""
@@ -320,12 +351,14 @@ class SpaceSavingPairs:
             raise ValueError("scale factor must be in [0, 1]")
         if factor == 0.0:
             self._entries.clear()
+            self._heap.clear()
             self._total = 0.0
             return
         for entry in self._entries.values():
             entry[0] *= factor
             entry[1] *= factor
         self._total *= factor
+        self._rebuild_heap()
 
     @property
     def total(self) -> float:
@@ -355,10 +388,16 @@ class SpaceSavingPairs:
         """
         tracker = cls(capacity=doc["capacity"])
         for raw_pair, count, error in doc["entries"]:
-            tracker._entries[tuple(raw_pair)] = [float(count), float(error)]
+            count, error = float(count), float(error)
+            if not (math.isfinite(count) and math.isfinite(error)):
+                raise ValueError("serialized counts and errors must be finite")
+            tracker._enter(tuple(raw_pair), count, error)
         if len(tracker._entries) > tracker.capacity:
             raise ValueError("serialized entries exceed capacity")
+        tracker._rebuild_heap()
         tracker._total = float(doc["total"])
+        if not math.isfinite(tracker._total):
+            raise ValueError("serialized total must be finite")
         tracker.max_tracked = int(doc["max_tracked"])
         tracker.evictions = int(doc["evictions"])
         return tracker
@@ -567,4 +606,6 @@ class SketchCorrelationEstimator:
         estimator.sketch = CountMinSketch.from_dict(doc["sketch"])
         estimator.heavy = SpaceSavingPairs.from_dict(doc["heavy"])
         estimator._total_ops = float(doc["total_operations"])
+        if not math.isfinite(estimator._total_ops):
+            raise ValueError("serialized total_operations must be finite")
         return estimator

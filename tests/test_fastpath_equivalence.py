@@ -26,7 +26,7 @@ from repro.core.correlation import (
 from repro.core.lp import _build_placement_lp_loop, build_placement_lp
 from repro.core.problem import PlacementProblem
 from repro.core.rounding import _round_trials_loop, round_trials_batched
-from repro.online.sketch import SketchCorrelationEstimator
+from repro.online.sketch import SketchCorrelationEstimator, SpaceSavingPairs
 from repro.search.documents import Corpus, Document
 from repro.search.engine import DistributedSearchEngine
 from repro.search.index import InvertedIndex
@@ -157,6 +157,101 @@ class TestSketchIngestEquivalence:
             incremental.to_dict(), sort_keys=False
         )
         _assert_same_mapping(batched.correlations(), incremental.correlations())
+
+
+class _ScanSpaceSaving:
+    """Reference Space-Saving tracker: every eviction scans all entries.
+
+    The victim is the first entry (in insertion order) that is minimal
+    by ``(count, repr)`` — the rule the heap-ordered tracker must keep.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}  # pair -> [count, error]
+        self.total = 0.0
+        self.max_tracked = 0
+        self.evictions = 0
+
+    def add(self, pair, count):
+        self.total += count
+        if pair in self.entries:
+            self.entries[pair][0] += count
+        elif len(self.entries) < self.capacity:
+            self.entries[pair] = [count, 0.0]
+        else:
+            victim = min(self.entries, key=lambda p: (self.entries[p][0], repr(p)))
+            floor = self.entries.pop(victim)[0]
+            self.entries[pair] = [floor + count, floor]
+            self.evictions += 1
+        self.max_tracked = max(self.max_tracked, len(self.entries))
+
+    def scale(self, factor):
+        if factor == 0.0:
+            self.entries.clear()
+            self.total = 0.0
+            return
+        for entry in self.entries.values():
+            entry[0] *= factor
+            entry[1] *= factor
+        self.total *= factor
+
+    def items(self):
+        return sorted(
+            ((pair, float(c), float(e)) for pair, (c, e) in self.entries.items()),
+            key=lambda row: (-row[1], repr(row[0])),
+        )
+
+    def round_trip(self):
+        """Reload from serialized rows, which come back heaviest first."""
+        rows = json.loads(json.dumps([[list(p), c, e] for p, c, e in self.items()]))
+        self.entries = {tuple(p): [float(c), float(e)] for p, c, e in rows}
+
+
+_PAIR_IDS = ["a", "b", "c", "d", 0, 1]
+_PAIRS = [(x, y) for x in _PAIR_IDS for y in _PAIR_IDS]
+# (kind, pair, count, factor) rows: kind 0 scales by ``factor``, kind 1
+# round-trips through JSON, any other kind adds ``count`` to ``pair`` —
+# so adds dominate and stale heap rows pile up between rebuilds.
+_SPACE_SAVING_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 15),
+        st.sampled_from(_PAIRS[:8]) | st.sampled_from(_PAIRS),
+        st.sampled_from([1.0, 1.0, 1.0, 2.0, 0.5, 0.0]),
+        st.sampled_from([0.5, 1 / 3, 0.1, 0.7, 1.0, 0.0]),
+    ),
+    max_size=150,
+)
+
+
+class TestSpaceSavingHeapEquivalence:
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 8), steps=_SPACE_SAVING_STEPS)
+    def test_heap_matches_full_scan(self, capacity, steps):
+        tracker = SpaceSavingPairs(capacity=capacity)
+        reference = _ScanSpaceSaving(capacity)
+        for kind, pair, count, factor in steps:
+            if kind == 0:
+                tracker.scale(factor)
+                reference.scale(factor)
+            elif kind == 1:
+                tracker = SpaceSavingPairs.from_dict(
+                    json.loads(json.dumps(tracker.to_dict()))
+                )
+                reference.round_trip()
+            else:
+                tracker.add(pair, count)
+                reference.add(pair, count)
+            assert tracker.items() == reference.items()
+            for pair in _PAIRS:
+                entry = reference.entries.get(pair, [0.0, 0.0])
+                assert (tracker.count(pair), tracker.error(pair)) == (
+                    float(entry[0]),
+                    float(entry[1]),
+                )
+            assert tracker.evictions == reference.evictions
+            assert tracker.max_tracked == reference.max_tracked
+            assert tracker.total == reference.total
 
 
 # ----------------------------------------------------------------------

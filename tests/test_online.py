@@ -85,6 +85,29 @@ class TestCountMinSketch:
         with pytest.raises(ValueError, match="nonnegative"):
             CountMinSketch().add("a", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_count_rejected(self, bad):
+        sketch = CountMinSketch(width=8, depth=2, seed=0)
+        sketch.add("a", 2.0)
+        before = sketch.to_dict()
+        with pytest.raises(ValueError, match="finite"):
+            sketch.add("a", bad)
+        with pytest.raises(ValueError, match="finite"):
+            sketch.update_many(["a", "b"], [1.0, bad])
+        # Rejected before any cell or the total is touched.
+        assert sketch.to_dict() == before
+
+    @pytest.mark.parametrize("field", ["cells", "total"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_from_dict_rejects_non_finite(self, field, bad):
+        doc = CountMinSketch(width=4, depth=2, seed=0).to_dict()
+        if field == "cells":
+            doc["cells"][1][2] = bad
+        else:
+            doc["total"] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CountMinSketch.from_dict(doc)
+
     def test_round_trip(self):
         sketch = CountMinSketch(width=8, depth=2, seed=5)
         sketch.add(("a", "b"), 3.0)
@@ -141,12 +164,55 @@ class TestSpaceSavingPairs:
         assert rows[0][0] == ("a", "b")
         assert rows[1][0] == ("b", "c")
 
+    def test_eviction_after_scale_uses_scaled_counts(self):
+        # Aging lowers counts, so the eviction order must come from the
+        # scaled counts, not from counts read before the rescale.
+        tracker = SpaceSavingPairs(capacity=2)
+        for pair, times in ((("a", "a"), 4), (("b", "b"), 6), (("c", "c"), 1)):
+            for _ in range(times):
+                tracker.add(pair)
+        # c evicted a (4.0): b=6, c=5.  Halve, then lift c above b.
+        tracker.scale(0.5)
+        tracker.add(("c", "c"))
+        tracker.add(("c", "c"))
+        tracker.add(("d", "d"))  # b (3.0) is now the minimum
+        assert tracker.items() == [(("c", "c"), 4.5, 2.0), (("d", "d"), 4.0, 3.0)]
+        assert tracker.evictions == 2
+
     def test_scale_zero_clears(self):
         tracker = SpaceSavingPairs(capacity=4)
         tracker.add(("a", "b"))
         tracker.scale(0.0)
         assert len(tracker) == 0
         assert tracker.total == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_count_rejected(self, bad):
+        # A NaN count used to be accepted (``nan < 0`` is false) and
+        # broke the next eviction's victim search.
+        tracker = SpaceSavingPairs(capacity=1)
+        tracker.add(("a", "b"))
+        with pytest.raises(ValueError, match="finite"):
+            tracker.add(("a", "b"), bad)
+        with pytest.raises(ValueError, match="finite"):
+            tracker.add(("c", "d"), bad)
+        assert tracker.items() == [(("a", "b"), 1.0, 0.0)]
+        assert tracker.total == 1.0
+        tracker.add(("c", "d"))
+        assert tracker.items() == [(("c", "d"), 2.0, 1.0)]
+
+    @pytest.mark.parametrize("column", [1, 2, "total"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_from_dict_rejects_non_finite(self, column, bad):
+        tracker = SpaceSavingPairs(capacity=3)
+        tracker.add(("a", "b"))
+        doc = tracker.to_dict()
+        if column == "total":
+            doc["total"] = bad
+        else:
+            doc["entries"][0][column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpaceSavingPairs.from_dict(doc)
 
     def test_round_trip(self):
         tracker = SpaceSavingPairs(capacity=3)
@@ -157,6 +223,12 @@ class TestSpaceSavingPairs:
         )
         assert restored.items() == tracker.items()
         assert restored.total == tracker.total
+        assert restored.evictions == tracker.evictions
+        # A restored tracker keeps evicting the same victims.
+        for i in range(10, 20):
+            tracker.add((f"a{i % 5}", f"b{i % 5}"))
+            restored.add((f"a{i % 5}", f"b{i % 5}"))
+        assert restored.items() == tracker.items()
         assert restored.evictions == tracker.evictions
 
 
@@ -208,6 +280,17 @@ class TestSketchCorrelationEstimator:
         )
         assert restored.correlations() == est.correlations()
         assert restored.num_operations == est.num_operations
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_from_dict_rejects_non_finite_operation_total(self, bad):
+        # A NaN total used to restore into NaN probabilities and a
+        # num_operations that raised.
+        est = SketchCorrelationEstimator(width=32, depth=2, heavy_hitters=4)
+        est.observe(("a", "b"))
+        doc = est.to_dict()
+        doc["total_operations"] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SketchCorrelationEstimator.from_dict(doc)
 
     def test_size_aware_round_trip_warns_without_sizes(self):
         # JSON stringifies size keys; a size-aware restore without an
@@ -556,6 +639,25 @@ class TestOnlinePlanner:
         assert planner._pending_target is None
         assert report.final_cost_estimate == 0.0
         assert report.total_bytes_moved >= sum(p.bytes_moved for p in migrate)
+
+
+class TestOnlinePlannerSpans:
+    def test_period_span_covers_ingest_drift_and_decay(self):
+        from repro import obs
+
+        inst = obs.enable(obs.Instrumentation())
+        try:
+            OnlinePlanner(SIZES, online_config()).run(shifting_stream())
+        finally:
+            obs.disable()
+        periods = inst.tracer.find("online.period")
+        assert len(periods) == NUM_PERIODS
+        for index, period in enumerate(periods):
+            children = [child.name for child in period.children]
+            assert children[0] == "online.ingest"
+            assert children[-1] == "online.decay"
+            # The bootstrap period has no plan to measure drift against.
+            assert ("online.drift" in children) == (index > 0)
 
 
 class TestOnlinePlannerRegistry:
